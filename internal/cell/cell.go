@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Table is a 2-D NLDM lookup table: Values[i][j] is the table value at
@@ -56,6 +55,11 @@ func (t *Table) Validate() error {
 func (t *Table) Lookup(slew, load float64) float64 {
 	i0, i1, fs := bracket(t.SlewAxis, slew)
 	j0, j1, fl := bracket(t.LoadAxis, load)
+	return t.interp(i0, i1, j0, j1, fs, fl)
+}
+
+// interp blends the four table values around a bracketed point.
+func (t *Table) interp(i0, i1, j0, j1 int, fs, fl float64) float64 {
 	v00 := t.Values[i0][j0]
 	v01 := t.Values[i0][j1]
 	v10 := t.Values[i1][j0]
@@ -68,7 +72,17 @@ func (t *Table) Lookup(slew, load float64) float64 {
 // outside [0,1], which yields linear extrapolation.
 func bracket(axis []float64, x float64) (lo, hi int, frac float64) {
 	n := len(axis)
-	k := sort.SearchFloat64s(axis, x)
+	// k = sort.SearchFloat64s(axis, x), open-coded: the closure call
+	// showed up in every Monte Carlo trial's buffer lookups.
+	k, j := 0, n
+	for k < j {
+		h := int(uint(k+j) >> 1)
+		if !(axis[h] >= x) {
+			k = h + 1
+		} else {
+			j = h
+		}
+	}
 	switch {
 	case k <= 0:
 		lo, hi = 0, 1
@@ -118,6 +132,28 @@ func (b *Buffer) DelayAt(slew, load float64) float64 { return b.Delay.Lookup(sle
 
 // OutSlewAt returns the output transition at the given input slew and load.
 func (b *Buffer) OutSlewAt(slew, load float64) float64 { return b.OutSlew.Lookup(slew, load) }
+
+// DelaySlewAt returns DelayAt and OutSlewAt of one operating point,
+// bitwise equal to the two separate calls. When the delay and out-slew
+// tables share their axis slices — as every Generate-built library does —
+// each axis is bracketed once for both tables; otherwise (for example a
+// library decoded from JSON, whose tables own distinct copies) it falls
+// back to two Lookups.
+func (b *Buffer) DelaySlewAt(slew, load float64) (delay, outSlew float64) {
+	d, s := &b.Delay, &b.OutSlew
+	if !sameAxis(d.SlewAxis, s.SlewAxis) || !sameAxis(d.LoadAxis, s.LoadAxis) {
+		return d.Lookup(slew, load), s.Lookup(slew, load)
+	}
+	i0, i1, fs := bracket(d.SlewAxis, slew)
+	j0, j1, fl := bracket(d.LoadAxis, load)
+	return d.interp(i0, i1, j0, j1, fs, fl), s.interp(i0, i1, j0, j1, fs, fl)
+}
+
+// sameAxis reports whether two axes are the same slice (same backing
+// array and length), so bracketing one brackets the other.
+func sameAxis(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
 
 // Library is an ordered set of buffer cells, weakest drive first.
 type Library struct {

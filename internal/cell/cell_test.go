@@ -1,7 +1,10 @@
 package cell
 
 import (
+	"encoding/json"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,5 +245,79 @@ func TestOutSlewIncreasesWithLoad(t *testing.T) {
 	b := lib.Buffers[2]
 	if b.OutSlewAt(50e-12, 10e-15) >= b.OutSlewAt(50e-12, 100e-15) {
 		t.Error("output slew must grow with load")
+	}
+}
+
+// TestDelaySlewAtMatchesSeparateLookups: the shared-bracket lookup must be
+// bitwise equal to DelayAt and OutSlewAt, both on a generated library
+// (tables share their axis slices, so the axes are bracketed once) and on
+// a JSON round trip of it (every table owns its axes, so the two-Lookup
+// fallback runs). Points cover the interior, the grid points and both
+// extrapolation sides of each axis.
+func TestDelaySlewAtMatchesSeparateLookups(t *testing.T) {
+	gen := Default45()
+	raw, err := json.Marshal(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Library
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		lib    *Library
+		shared bool
+	}{{"generated", gen, true}, {"json", &decoded, false}} {
+		for bi := range tc.lib.Buffers {
+			b := &tc.lib.Buffers[bi]
+			if got := sameAxis(b.Delay.SlewAxis, b.OutSlew.SlewAxis) && sameAxis(b.Delay.LoadAxis, b.OutSlew.LoadAxis); got != tc.shared {
+				t.Fatalf("%s %s: shared axes = %v, want %v", tc.name, b.Name, got, tc.shared)
+			}
+			rng := rand.New(rand.NewSource(int64(bi)))
+			slews := append([]float64{1e-12, 450e-12}, b.Delay.SlewAxis...)
+			loads := append([]float64{b.InputCap * 0.1, b.InputCap * 60}, b.Delay.LoadAxis...)
+			for i := 0; i < 200; i++ {
+				slews = append(slews, rng.Float64()*500e-12)
+				loads = append(loads, rng.Float64()*b.InputCap*50)
+			}
+			for i, s := range slews {
+				l := loads[i]
+				d, o := b.DelaySlewAt(s, l)
+				if wd, wo := b.DelayAt(s, l), b.OutSlewAt(s, l); d != wd || o != wo {
+					t.Fatalf("%s %s at (%g, %g): DelaySlewAt = (%.17g, %.17g), want (%.17g, %.17g)",
+						tc.name, b.Name, s, l, d, o, wd, wo)
+				}
+			}
+		}
+	}
+}
+
+// TestBracketMatchesSortSearch: the open-coded binary search must pick
+// exactly the interval sort.SearchFloat64s picks, including at grid
+// points, outside the axis and for NaN.
+func TestBracketMatchesSortSearch(t *testing.T) {
+	axis := []float64{5, 20, 50, 100, 200, 400}
+	xs := append([]float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, 4.999, 400.001}, axis...)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		xs = append(xs, rng.Float64()*450)
+	}
+	for _, x := range xs {
+		k := sort.SearchFloat64s(axis, x)
+		var lo, hi int
+		switch {
+		case k <= 0:
+			lo, hi = 0, 1
+		case k >= len(axis):
+			lo, hi = len(axis)-2, len(axis)-1
+		default:
+			lo, hi = k-1, k
+		}
+		glo, ghi, frac := bracket(axis, x)
+		want := (x - axis[lo]) / (axis[hi] - axis[lo])
+		if glo != lo || ghi != hi || math.Float64bits(frac) != math.Float64bits(want) {
+			t.Fatalf("bracket(%g) = (%d, %d, %g), want (%d, %d, %g)", x, glo, ghi, frac, lo, hi, want)
+		}
 	}
 }

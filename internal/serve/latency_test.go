@@ -80,20 +80,26 @@ func TestServeWarmCacheLatencyFloor(t *testing.T) {
 func BenchmarkServeFlowCold(b *testing.B) {
 	ts := httptest.NewServer(New(Config{CacheEntries: 1}).Handler())
 	defer ts.Close()
-	body := lat300Request(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A distinct seed per iteration defeats the cache.
 		spec := testutil.UniformSpec("cold", 300, 3000, int64(i+1))
-		req, _ := json.Marshal(&FlowRequest{Spec: &spec, Scheme: "smart-ndr"})
+		req, err := json.Marshal(&FlowRequest{Spec: &spec, Scheme: "smart-ndr"})
+		if err != nil {
+			b.Fatal(err)
+		}
 		resp, err := http.Post(ts.URL+"/v1/flow", "application/json", bytes.NewReader(req))
 		if err != nil {
 			b.Fatal(err)
 		}
 		resp.Body.Close()
+		// A refused or failed request is fast; it must not pass for a
+		// cold flow.
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("iteration %d: status %d, want 200", i, resp.StatusCode)
+		}
 	}
-	_ = body
 }
 
 func BenchmarkServeFlowWarm(b *testing.B) {

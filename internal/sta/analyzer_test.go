@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -105,7 +106,8 @@ func TestAnalyzerWithOverrides(t *testing.T) {
 }
 
 // TestAnalyzerSteadyStateAllocs: after the first sizing call, repeated
-// analyses of the same tree must not allocate.
+// analyses of the same tree must not allocate — through the full
+// Analyze and through Reanalyze alike.
 func TestAnalyzerSteadyStateAllocs(t *testing.T) {
 	te := tech.Tech45()
 	lib := cell.Default45()
@@ -122,6 +124,122 @@ func TestAnalyzerSteadyStateAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("steady-state Analyze allocates %.1f objects/run, want ≤ 2", allocs)
 	}
+	ov := randomOverrides(rand.New(rand.NewSource(5)), len(tree.Nodes))
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := an.Reanalyze(40e-12, ov); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("steady-state Reanalyze allocates %.1f objects/run, want ≤ 2", allocs)
+	}
+}
+
+// randomOverrides draws Overrides in one of four shapes: none at all, or
+// each of EdgeR/EdgeC/BufScale independently nil or fully populated with
+// values near nominal magnitudes. The root's entries are drawn too — the
+// analysis must ignore them, since the root has no feeding edge.
+func randomOverrides(rng *rand.Rand, n int) *sta.Overrides {
+	if rng.Intn(4) == 0 {
+		return nil
+	}
+	fill := func(scale float64) []float64 {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = scale * (0.2 + rng.Float64())
+		}
+		return v
+	}
+	return &sta.Overrides{EdgeR: fill(300), EdgeC: fill(20e-15), BufScale: fill(1.2)}
+}
+
+// sameResult asserts two results agree bitwise on every field, including
+// StageCap at non-driver nodes and the sink list behind SinkArrivals.
+func sameResult(t *testing.T, tag string, tree *ctree.Tree, got, want *sta.Result) {
+	t.Helper()
+	compareExact(t, tag, tree, got, want)
+	for v := range tree.Nodes {
+		if math.Float64bits(got.StageCap[v]) != math.Float64bits(want.StageCap[v]) {
+			t.Fatalf("%s: StageCap[%d] %.17g, want %.17g", tag, v, got.StageCap[v], want.StageCap[v])
+		}
+	}
+	ga, wa := got.SinkArrivals(tree), want.SinkArrivals(tree)
+	for i := range wa {
+		if math.Float64bits(ga[i]) != math.Float64bits(wa[i]) {
+			t.Fatalf("%s: sink %d arrival %.17g, want %.17g", tag, i, ga[i], wa[i])
+		}
+	}
+	gw, gat := got.WorstSlew()
+	ww, wat := want.WorstSlew()
+	if gw != ww || gat != wat || got.TotalSwitchedCap() != want.TotalSwitchedCap() {
+		t.Fatalf("%s: worst slew or switched cap diverges", tag)
+	}
+}
+
+// TestReanalyzeMatchesAnalyze is the differential harness for the
+// bind/propagate split: on 24 seeded random trees with random rule
+// assignments, every Reanalyze under random Overrides (nil, partial and
+// full) must equal a from-scratch AnalyzeOv bit for bit, and both must
+// equal referenceAnalyze, the plain-walk oracle. The analyzer is
+// shared across trees, so every tree after the first also re-binds a
+// differently sized tree, and between trees it is fed a rejected tree:
+// Reanalyze must then refuse to run until the next successful Analyze.
+func TestReanalyzeMatchesAnalyze(t *testing.T) {
+	te := tech.Tech45()
+	lib := cell.Default45()
+	an := sta.NewAnalyzer(te, lib)
+	if _, err := an.Reanalyze(40e-12, nil); err == nil {
+		t.Fatal("Reanalyze before any Analyze must fail")
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tree := synthTree(t, 15+rng.Intn(100), 100+seed, te, lib)
+		for i := range tree.Nodes {
+			if tree.Nodes[i].Parent != ctree.NoNode {
+				tree.Nodes[i].Rule = rng.Intn(te.NumRules())
+			}
+		}
+		if _, err := an.Analyze(tree, 40e-12, randomOverrides(rng, len(tree.Nodes))); err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 6; trial++ {
+			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
+			inSlew := (20 + 60*rng.Float64()) * 1e-12
+			ov := randomOverrides(rng, len(tree.Nodes))
+			want, err := sta.AnalyzeOv(tree, te, lib, inSlew, ov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchesReference(t, tag, want, referenceAnalyze(tree, te, lib, inSlew, ov))
+			got, err := an.Reanalyze(inSlew, ov)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			sameResult(t, tag, tree, got, want)
+		}
+		// An input-slew error leaves the binding intact.
+		if _, err := an.Reanalyze(0, nil); err == nil {
+			t.Fatal("zero input slew must fail")
+		}
+		want, _ := sta.Analyze(tree, te, lib, 40e-12)
+		got, err := an.Reanalyze(40e-12, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("seed %d after slew error", seed), tree, got, want)
+		// A rejected tree unbinds the analyzer.
+		bad := tree.Clone()
+		bad.Nodes[bad.Root].BufIdx = 99
+		if _, err := an.Analyze(bad, 40e-12, nil); err == nil {
+			t.Fatal("out-of-range buffer must fail")
+		}
+		if _, err := an.Reanalyze(40e-12, nil); err == nil {
+			t.Fatalf("seed %d: Reanalyze after a rejected tree must fail", seed)
+		}
+	}
 }
 
 func TestAnalyzerErrors(t *testing.T) {
@@ -136,6 +254,20 @@ func TestAnalyzerErrors(t *testing.T) {
 	bad.Nodes[1].Rule = 99
 	if _, err := an.Analyze(bad, 40e-12, nil); err == nil {
 		t.Error("out-of-range rule must fail")
+	}
+	// Out-of-range buffer indices must be rejected, not indexed: past the
+	// library's end, and negative other than ctree.NoBuf.
+	for _, bi := range []int{99, -5} {
+		bad := tree.Clone()
+		for i := range bad.Nodes {
+			if bad.Nodes[i].BufIdx != ctree.NoBuf && i != bad.Root {
+				bad.Nodes[i].BufIdx = bi
+				break
+			}
+		}
+		if _, err := an.Analyze(bad, 40e-12, nil); err == nil {
+			t.Errorf("buffer index %d must fail", bi)
+		}
 	}
 	// The analyzer must recover from an error and produce correct results.
 	got, err := an.Analyze(tree, 40e-12, nil)

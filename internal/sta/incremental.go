@@ -68,7 +68,6 @@ type Incremental struct {
 	n        int
 	lastSlew float64
 
-	bufIdx    []int // BufIdx snapshot at last analysis
 	depth     []int // node depth (heap key for stage ordering)
 	stageSize []int // per driver: node count of its stage
 
@@ -222,8 +221,7 @@ func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 	inc.clearPending() // before resizing: marks may index the old tree
 	n := len(t.Nodes)
 	inc.tree, inc.n, inc.lastSlew = t, n, inSlew
-	if cap(inc.bufIdx) < n {
-		inc.bufIdx = make([]int, n)
+	if cap(inc.depth) < n {
 		inc.depth = make([]int, n)
 		inc.stageSize = make([]int, n)
 		inc.pendingMark = make([]bool, n)
@@ -231,7 +229,6 @@ func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 		inc.delayDirty = make([]bool, n)
 		inc.mode = make([]uint8, n)
 	} else {
-		inc.bufIdx = inc.bufIdx[:n]
 		inc.depth = inc.depth[:n]
 		inc.stageSize = inc.stageSize[:n]
 		inc.pendingMark = inc.pendingMark[:n]
@@ -239,30 +236,13 @@ func (inc *Incremental) capture(t *ctree.Tree, inSlew float64) {
 		inc.delayDirty = inc.delayDirty[:n]
 		inc.mode = inc.mode[:n]
 	}
-	drv := inc.an.drv
-	for i := range t.Nodes {
-		inc.bufIdx[i] = t.Nodes[i].BufIdx
-		inc.stageSize[i] = 0
-	}
-	// Depth needs parents before children; node order in a ctree is not
-	// guaranteed topological, so walk from the root.
-	w := append(inc.walk[:0], t.Root)
-	inc.depth[t.Root] = 0
-	for len(w) > 0 {
-		v := w[len(w)-1]
-		w = w[:len(w)-1]
-		for _, k := range t.Nodes[v].Kids {
-			if k != ctree.NoNode {
-				inc.depth[k] = inc.depth[v] + 1
-				w = append(w, k)
-			}
-		}
-	}
-	inc.walk = w[:0]
-	for i := range t.Nodes {
-		if i != t.Root {
-			inc.stageSize[drv[i]]++
-		}
+	a := inc.an
+	clear(inc.stageSize)
+	// The bound pre-order list has parents before children.
+	inc.depth[a.order[0]] = 0
+	for _, v := range a.order[1:] {
+		inc.depth[v] = inc.depth[a.parent[v]] + 1
+		inc.stageSize[a.drv[v]]++
 	}
 	inc.valid = true
 }
@@ -340,7 +320,7 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 	wireDirty, bufDirty, sinkDirty := false, false, false
 	for _, v := range inc.pending {
 		nd := &t.Nodes[v]
-		if (inc.bufIdx[v] == ctree.NoBuf) != (nd.BufIdx == ctree.NoBuf) {
+		if (a.buf[v] == ctree.NoBuf) != (nd.BufIdx == ctree.NoBuf) {
 			return false // buffer added or removed: stage structure changed
 		}
 		// A sink pin-cap edit changes the endpoint cap an unbuffered leaf
@@ -349,7 +329,7 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 			if c := t.Sinks[nd.SinkIdx].Cap; c != a.endCap[v] {
 				a.endCap[v] = c
 				sinkDirty = true
-				inc.markCap(a.drv[v])
+				inc.markCap(int(a.drv[v]))
 			}
 		}
 		if nd.Parent != ctree.NoNode {
@@ -369,18 +349,18 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 				edited = true
 			}
 			if edited {
-				inc.markCap(a.drv[v])
+				inc.markCap(int(a.drv[v]))
 			}
 		}
-		if nd.BufIdx != inc.bufIdx[v] {
+		if nd.BufIdx != int(a.buf[v]) {
 			if nd.BufIdx < 0 || nd.BufIdx >= len(lib.Buffers) {
 				return false // full pass reports the error
 			}
 			a.endCap[v] = lib.Buffers[nd.BufIdx].InputCap
-			inc.bufIdx[v] = nd.BufIdx
+			a.buf[v] = int32(nd.BufIdx)
 			bufDirty = true
 			if nd.Parent != ctree.NoNode {
-				inc.markCap(a.drv[v]) // new input cap loads the parent stage
+				inc.markCap(int(a.drv[v])) // new input cap loads the parent stage
 			} else {
 				// Root resize: no parent stage rebuild walks the root, so
 				// refresh its own lumped cap here (buffered ⇒ no kid term).
@@ -474,12 +454,7 @@ func (inc *Incremental) update(t *ctree.Tree) bool {
 		d := heap.Pop(&inc.driverHeap).(hDriver).node
 		m := inc.mode[d]
 		if m == modeFull {
-			b := &lib.Buffers[t.Nodes[d].BufIdx]
-			load := res.StageCap[d]
-			delay := b.DelayAt(res.Slew[d], load)
-			a.stageDelay[d] = delay
-			a.stageOutArr[d] = res.Arrival[d] + delay
-			a.stageOutSlew[d] = b.OutSlewAt(res.Slew[d], load)
+			a.startStage(int32(d), nil)
 		} else {
 			// Arrival-only: input slew, load, and buffer unchanged, so the
 			// cached delay is exactly what DelayAt would return.

@@ -133,9 +133,9 @@ func AnalyzeOv(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, 
 }
 
 // AnalyzeTr is AnalyzeOv with instrumentation: the run is split into an
-// "rc_build" span (parasitic extraction and load accumulation) and a
-// "propagate" span (the timing walk), so profiles show where analysis
-// time goes. A nil tracer adds no overhead.
+// "rc_build" span (levelization and nominal parasitic extraction) and a
+// "propagate" span (load accumulation and the timing walk), so profiles
+// show where analysis time goes. A nil tracer adds no overhead.
 //
 // Every call allocates a fresh Result. Callers analyzing the same tree
 // repeatedly (Monte Carlo trials, optimizer inner loops) should hold an
@@ -148,16 +148,36 @@ func AnalyzeTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, inSlew float64, 
 // working buffers and the Result itself are preallocated once and reused
 // on every Analyze call. An Analyzer is not safe for concurrent use —
 // give each worker goroutine its own.
+//
+// An analysis is two steps. bind levelizes the tree — a pre-order node
+// list plus compact parent/kids/buffer arrays — and computes everything
+// that depends on the tree alone: endpoint caps, the capacitance and
+// buffer inventory, the sink and driver lists, and the nominal edge
+// parasitics. propagate then accumulates stage loads in one reverse loop
+// over the list and times the tree in one forward loop. Analyze runs
+// both; Reanalyze runs only propagate, on the tree bound last.
 type Analyzer struct {
 	te  *tech.Tech
 	lib *cell.Library
 	res Result
 
-	edgeR, edgeC []float64 // per-edge parasitics under assigned rules
+	// Levelized view of the bound tree (written by bind).
+	bound   bool
+	order   []int32    // pre-order node list, root first
+	parent  []int32    // per node; ctree.NoNode at the root
+	kids    [][2]int32 // per node; ctree.NoNode where absent
+	buf     []int32    // per node: library buffer index, or ctree.NoBuf
+	drv     []int32    // owning stage driver per node (the root owns itself)
+	wireCap float64    // nominal WireCap, restored when EdgeC is not overridden
+	walk    []int32    // bind's DFS stack
+
+	f64 []float64 // backing block of every per-node float64 array
+	i32 []int32   // backing block of every per-node int32 array
+
+	edgeR, edgeC []float64 // nominal per-edge parasitics under assigned rules
 	endCap       []float64 // L[v]: endpoint cap v presents to its stage
 	downCap      []float64 // D[v]: π-lumped cap at-and-below v in-stage
 	elm          []float64 // Elmore delay from stage driver output to v
-	drv          []int     // owning stage driver per node
 	// Stage driver outputs, indexed by driver node (written in startStage
 	// before any descendant reads them — no clearing needed).
 	stageOutArr, stageOutSlew []float64
@@ -166,15 +186,6 @@ type Analyzer struct {
 	// engine reuses it to re-derive stageOutArr for stages whose input slew
 	// and load did not change, bitwise-identically to a fresh startStage.
 	stageDelay []float64
-	// Traversal stacks, reused so the tree walks stay allocation-free
-	// (ctree's PostOrder/PreOrder allocate their stacks per call).
-	postStack []postFrame
-	preStack  []int
-}
-
-type postFrame struct {
-	node int
-	kid  int
 }
 
 // NewAnalyzer returns an analyzer for the technology and library. The
@@ -192,221 +203,250 @@ func (a *Analyzer) Analyze(t *ctree.Tree, inSlew float64, ov *Overrides) (*Resul
 	return a.analyze(t, inSlew, ov, nil)
 }
 
-// resize readies the analyzer's buffers for an n-node tree.
-func (a *Analyzer) resize(n int) {
-	if cap(a.edgeR) < n {
-		a.edgeR = make([]float64, n)
-		a.edgeC = make([]float64, n)
-		a.endCap = make([]float64, n)
-		a.downCap = make([]float64, n)
-		a.elm = make([]float64, n)
-		a.drv = make([]int, n)
-		a.stageOutArr = make([]float64, n)
-		a.stageOutSlew = make([]float64, n)
-		a.stageDelay = make([]float64, n)
-		a.res.Arrival = make([]float64, n)
-		a.res.Slew = make([]float64, n)
-		a.res.StageCap = make([]float64, n)
-	} else {
-		a.edgeR = a.edgeR[:n]
-		a.edgeC = a.edgeC[:n]
-		a.endCap = a.endCap[:n]
-		a.downCap = a.downCap[:n]
-		a.elm = a.elm[:n]
-		a.drv = a.drv[:n]
-		a.stageOutArr = a.stageOutArr[:n]
-		a.stageOutSlew = a.stageOutSlew[:n]
-		a.stageDelay = a.stageDelay[:n]
-		a.res.Arrival = a.res.Arrival[:n]
-		a.res.Slew = a.res.Slew[:n]
-		a.res.StageCap = a.res.StageCap[:n]
-		clear(a.res.StageCap)
+// Reanalyze re-times the tree bound by the last Analyze under a new input
+// slew and overrides, skipping bind: no validation, levelization or
+// nominal extraction, only the load and timing loops. The result is
+// bitwise identical to Analyze of the same tree with the same arguments.
+//
+// Contract: the caller has not modified that tree since it was bound —
+// Reanalyze never reads it, so an edit would go unseen. It is meant for
+// Monte Carlo trials, which vary only the overrides. Reanalyze fails if
+// no tree is bound: before the first Analyze, or after an Analyze whose
+// tree was rejected. The Result has the same ownership rules as Analyze's.
+func (a *Analyzer) Reanalyze(inSlew float64, ov *Overrides) (*Result, error) {
+	if !a.bound {
+		return nil, errors.New("sta: Reanalyze without a bound tree")
 	}
+	return a.propagate(inSlew, ov)
+}
+
+func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs.Tracer) (*Result, error) {
+	sp := tr.Start("sta.analyze", obs.I("nodes", len(t.Nodes)))
+	defer sp.End()
+	rcSpan := tr.Start("rc_build")
+	err := a.bind(t)
+	rcSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	propSpan := tr.Start("propagate")
+	defer propSpan.End()
+	return a.propagate(inSlew, ov)
+}
+
+// resize readies the analyzer's buffers for an n-node tree. The per-node
+// arrays are carved from three backing blocks, so sizing costs three
+// allocations rather than one per array.
+func (a *Analyzer) resize(n int) {
+	const nf, ni = 11, 5 // float64 and int32 arrays per node
+	if cap(a.f64) < nf*n {
+		a.f64 = make([]float64, nf*n)
+		a.i32 = make([]int32, ni*n)
+		a.kids = make([][2]int32, n)
+	}
+	f, i := a.f64, a.i32
+	nextF := func() []float64 { s := f[:n:n]; f = f[n:]; return s }
+	nextI := func() []int32 { s := i[:n:n]; i = i[n:]; return s }
+	a.edgeR, a.edgeC, a.endCap, a.downCap = nextF(), nextF(), nextF(), nextF()
+	a.elm, a.stageOutArr, a.stageOutSlew, a.stageDelay = nextF(), nextF(), nextF(), nextF()
+	a.res.Arrival, a.res.Slew, a.res.StageCap = nextF(), nextF(), nextF()
+	a.parent, a.buf, a.drv = nextI(), nextI(), nextI()
+	a.order, a.walk = nextI()[:0], nextI()[:0] // never outgrow n
+	a.kids = a.kids[:n]
+	clear(a.res.StageCap)
 	a.res.Drivers = a.res.Drivers[:0]
-	a.res.DownCap = nil
+	a.res.DownCap = a.downCap
 	a.res.sinkNodes = a.res.sinkNodes[:0]
 	a.res.WireCap, a.res.SinkCap, a.res.BufInCap, a.res.BufIntCap = 0, 0, 0, 0
 	a.res.LeakageTot = 0
 	a.res.BufferCount = 0
 }
 
-func (a *Analyzer) analyze(t *ctree.Tree, inSlew float64, ov *Overrides, tr *obs.Tracer) (*Result, error) {
+// bind validates and levelizes t and computes every per-tree constant
+// of the analysis. On error the analyzer is left unbound.
+func (a *Analyzer) bind(t *ctree.Tree) error {
 	te, lib := a.te, a.lib
+	a.bound = false
 	if t.Root == ctree.NoNode {
-		return nil, errors.New("sta: tree has no root")
+		return errors.New("sta: tree has no root")
 	}
 	if t.Nodes[t.Root].BufIdx == ctree.NoBuf {
-		return nil, errors.New("sta: root carries no driver buffer")
+		return errors.New("sta: root carries no driver buffer")
 	}
-	if inSlew <= 0 {
-		return nil, fmt.Errorf("sta: non-positive input slew %g", inSlew)
-	}
-	sp := tr.Start("sta.analyze", obs.I("nodes", len(t.Nodes)))
-	defer sp.End()
-	rcSpan := tr.Start("rc_build")
-	defer rcSpan.End() // error paths; no-op after the explicit End below
 	n := len(t.Nodes)
 	a.resize(n)
 	res := &a.res
 
-	// Per-edge parasitics under the assigned rules.
-	edgeR, edgeC := a.edgeR, a.edgeC
+	// Per-node topology, nominal parasitics, endpoint caps and inventory,
+	// all accumulated in node-index order.
+	wireCap := 0.0
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
+		a.parent[i] = int32(nd.Parent)
+		a.kids[i] = [2]int32{int32(nd.Kids[0]), int32(nd.Kids[1])}
+		a.buf[i] = int32(nd.BufIdx)
 		if nd.Parent == ctree.NoNode {
-			edgeR[i], edgeC[i] = 0, 0
-			continue
-		}
-		if nd.Rule < 0 || nd.Rule >= te.NumRules() {
-			return nil, fmt.Errorf("sta: node %d has out-of-range rule %d", i, nd.Rule)
-		}
-		if ov != nil && ov.EdgeR != nil {
-			edgeR[i] = ov.EdgeR[i]
+			a.edgeR[i], a.edgeC[i] = 0, 0
 		} else {
-			edgeR[i] = te.WireR(nd.EdgeLen, nd.Rule)
+			if nd.Rule < 0 || nd.Rule >= te.NumRules() {
+				return fmt.Errorf("sta: node %d has out-of-range rule %d", i, nd.Rule)
+			}
+			a.edgeR[i] = te.WireR(nd.EdgeLen, nd.Rule)
+			a.edgeC[i] = te.WireC(nd.EdgeLen, nd.Rule)
+			wireCap += a.edgeC[i]
 		}
-		if ov != nil && ov.EdgeC != nil {
-			edgeC[i] = ov.EdgeC[i]
-		} else {
-			edgeC[i] = te.WireC(nd.EdgeLen, nd.Rule)
-		}
-		res.WireCap += edgeC[i]
-	}
-
-	// L[v]: endpoint cap v presents to its parent's stage.
-	// D[v]: π-model lumped cap at-and-below v within the stage owning v's
-	// feeding edge.
-	L := a.endCap
-	D := a.downCap
-	for i := range t.Nodes {
-		nd := &t.Nodes[i]
-		L[i] = 0
+		// L[v]: endpoint cap v presents to its parent's stage.
+		a.endCap[i] = 0
 		switch {
 		case nd.BufIdx != ctree.NoBuf:
-			b := &lib.Buffers[nd.BufIdx]
 			if nd.BufIdx < 0 || nd.BufIdx >= len(lib.Buffers) {
-				return nil, fmt.Errorf("sta: node %d has out-of-range buffer %d", i, nd.BufIdx)
+				return fmt.Errorf("sta: node %d has out-of-range buffer %d", i, nd.BufIdx)
 			}
-			L[i] = b.InputCap
+			b := &lib.Buffers[nd.BufIdx]
+			a.endCap[i] = b.InputCap
 			res.BufInCap += b.InputCap
 			res.BufIntCap += b.InternalCap
 			res.LeakageTot += b.Leakage
 			res.BufferCount++
 			res.Drivers = append(res.Drivers, i)
 		case t.IsLeaf(i):
-			L[i] = t.Sinks[nd.SinkIdx].Cap
-			res.SinkCap += L[i]
+			a.endCap[i] = t.Sinks[nd.SinkIdx].Cap
+			res.SinkCap += a.endCap[i]
 		}
-	}
-	// Post-order walk (children before parents), inlined on the reusable
-	// stack — semantically identical to ctree.PostOrder.
-	post := append(a.postStack[:0], postFrame{t.Root, 0})
-	for len(post) > 0 {
-		f := &post[len(post)-1]
-		advanced := false
-		for f.kid < 2 {
-			k := t.Nodes[f.node].Kids[f.kid]
-			f.kid++
-			if k != ctree.NoNode {
-				post = append(post, postFrame{k, 0})
-				advanced = true
-				break
-			}
-		}
-		if advanced {
-			continue
-		}
-		v := f.node
-		post = post[:len(post)-1]
-
-		nd := &t.Nodes[v]
-		D[v] = L[v] + edgeC[v]/2
-		if nd.BufIdx != ctree.NoBuf {
-			// Children belong to v's own (new) stage; accumulate its load.
-			load := 0.0
-			for _, k := range nd.Kids {
-				if k != ctree.NoNode {
-					load += D[k] + edgeC[k]/2
-				}
-			}
-			res.StageCap[v] = load
-			continue
-		}
-		for _, k := range nd.Kids {
-			if k != ctree.NoNode {
-				D[v] += D[k] + edgeC[k]/2
-			}
-		}
-	}
-	a.postStack = post[:0]
-
-	rcSpan.End()
-
-	// Timing, one pre-order pass. elm[v] is the Elmore delay from the
-	// owning stage driver's output pin to v; stageOutArr/stageOutSlew are
-	// indexed by driver node.
-	propSpan := tr.Start("propagate")
-	elm := a.elm
-	stageOutArr := a.stageOutArr
-	stageOutSlew := a.stageOutSlew
-	drv := a.drv
-	startStage := func(v int) {
-		b := &lib.Buffers[t.Nodes[v].BufIdx]
-		load := res.StageCap[v]
-		d := b.DelayAt(res.Slew[v], load)
-		a.stageDelay[v] = d
-		if ov != nil && ov.BufScale != nil {
-			d *= ov.BufScale[v]
-		}
-		stageOutArr[v] = res.Arrival[v] + d
-		stageOutSlew[v] = b.OutSlewAt(res.Slew[v], load)
-	}
-	res.Arrival[t.Root] = 0
-	res.Slew[t.Root] = inSlew
-	elm[t.Root] = 0
-	drv[t.Root] = t.Root
-	startStage(t.Root)
-	// Pre-order walk (parents before children), inlined on the reusable
-	// stack — semantically identical to ctree.PreOrder.
-	pre := append(a.preStack[:0], t.Root)
-	for len(pre) > 0 {
-		v := pre[len(pre)-1]
-		pre = pre[:len(pre)-1]
-		for _, k := range t.Nodes[v].Kids {
-			if k != ctree.NoNode {
-				pre = append(pre, k)
-			}
-		}
-		if v == t.Root {
-			continue
-		}
-		p := t.Nodes[v].Parent
-		var d int
-		var base float64
-		if t.Nodes[p].BufIdx != ctree.NoBuf {
-			d = p
-			base = 0
-		} else {
-			d = drv[p]
-			base = elm[p]
-		}
-		drv[v] = d
-		elm[v] = base + edgeR[v]*D[v]
-		res.Arrival[v] = stageOutArr[d] + elm[v]
-		res.Slew[v] = math.Hypot(stageOutSlew[d], rctree.Ln9*elm[v])
-		if t.Nodes[v].BufIdx != ctree.NoBuf {
-			startStage(v)
-		}
-	}
-	a.preStack = pre[:0]
-	for i := range t.Nodes {
-		if t.Nodes[i].SinkIdx != ctree.NoSink {
+		if nd.SinkIdx != ctree.NoSink {
 			res.sinkNodes = append(res.sinkNodes, i)
 		}
 	}
-	res.DownCap = D
-	propSpan.End()
+	a.wireCap = wireCap
+
+	// Pre-order list (parents before children) with each node's stage
+	// driver: a buffered parent drives its kids, an unbuffered one passes
+	// its own driver down.
+	root := int32(t.Root)
+	a.drv[root] = root
+	order := a.order[:0]
+	w := append(a.walk[:0], root)
+	for len(w) > 0 {
+		v := w[len(w)-1]
+		w = w[:len(w)-1]
+		order = append(order, v)
+		for _, k := range a.kids[v] {
+			if k == ctree.NoNode {
+				continue
+			}
+			if a.buf[v] != ctree.NoBuf {
+				a.drv[k] = v
+			} else {
+				a.drv[k] = a.drv[v]
+			}
+			w = append(w, k)
+		}
+	}
+	a.order, a.walk = order, w[:0]
+	a.bound = true
+	return nil
+}
+
+// propagate times the bound tree: stage loads in one reverse pass over
+// the pre-order list (children before parents), then arrivals and slews
+// in one forward pass (parents before children).
+func (a *Analyzer) propagate(inSlew float64, ov *Overrides) (*Result, error) {
+	if inSlew <= 0 {
+		return nil, fmt.Errorf("sta: non-positive input slew %g", inSlew)
+	}
+	res := &a.res
+	edgeR, edgeC := a.edgeR, a.edgeC
+	var bufScale []float64
+	res.WireCap = a.wireCap
+	if ov != nil {
+		if ov.EdgeR != nil {
+			edgeR = ov.EdgeR
+		}
+		if ov.EdgeC != nil {
+			edgeC = ov.EdgeC
+			wc := 0.0
+			for i, p := range a.parent {
+				if p != ctree.NoNode {
+					wc += edgeC[i]
+				}
+			}
+			res.WireCap = wc
+		}
+		bufScale = ov.BufScale
+	}
+
+	// D[v]: π-model lumped cap at-and-below v within the stage owning v's
+	// feeding edge. A buffered node starts a new stage, so its kids load
+	// StageCap instead of D.
+	D, L, kids, buf := a.downCap, a.endCap, a.kids, a.buf
+	for i := len(a.order) - 1; i >= 0; i-- {
+		v := a.order[i]
+		ev := edgeC[v]
+		if i == 0 {
+			ev = 0 // the root has no feeding edge, whatever the overrides say
+		}
+		dv := L[v] + ev/2
+		k0, k1 := kids[v][0], kids[v][1]
+		if buf[v] != ctree.NoBuf {
+			load := 0.0
+			if k0 != ctree.NoNode {
+				load += D[k0] + edgeC[k0]/2
+			}
+			if k1 != ctree.NoNode {
+				load += D[k1] + edgeC[k1]/2
+			}
+			res.StageCap[v] = load
+		} else {
+			if k0 != ctree.NoNode {
+				dv += D[k0] + edgeC[k0]/2
+			}
+			if k1 != ctree.NoNode {
+				dv += D[k1] + edgeC[k1]/2
+			}
+		}
+		D[v] = dv
+	}
+
+	// Timing. elm[v] is the Elmore delay from the owning stage driver's
+	// output pin to v; stageOutArr/stageOutSlew are indexed by driver node.
+	elm, parent, drv := a.elm, a.parent, a.drv
+	stageOutArr, stageOutSlew := a.stageOutArr, a.stageOutSlew
+	root := a.order[0]
+	res.Arrival[root] = 0
+	res.Slew[root] = inSlew
+	elm[root] = 0
+	a.startStage(root, bufScale)
+	for _, v := range a.order[1:] {
+		p, d := parent[v], drv[v]
+		base := 0.0
+		if p != d {
+			base = elm[p]
+		}
+		e := base + edgeR[v]*D[v]
+		elm[v] = e
+		res.Arrival[v] = stageOutArr[d] + e
+		res.Slew[v] = math.Hypot(stageOutSlew[d], rctree.Ln9*e)
+		if buf[v] != ctree.NoBuf {
+			a.startStage(v, bufScale)
+		}
+	}
 	return res, nil
+}
+
+// startStage evaluates buffered node v's NLDM tables at its input slew and
+// stage load, and records the stage's output arrival and slew. bufScale,
+// when non-nil, scales the delay (variation overrides); stageDelay keeps
+// the unscaled value.
+func (a *Analyzer) startStage(v int32, bufScale []float64) {
+	res := &a.res
+	b := &a.lib.Buffers[a.buf[v]]
+	d, s := b.DelaySlewAt(res.Slew[v], res.StageCap[v])
+	a.stageDelay[v] = d
+	if bufScale != nil {
+		d *= bufScale[v]
+	}
+	a.stageOutArr[v] = res.Arrival[v] + d
+	a.stageOutSlew[v] = s
 }
 
 // TotalSwitchedCap returns the capacitance toggling every clock cycle:

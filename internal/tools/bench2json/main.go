@@ -5,12 +5,19 @@
 //
 // Input lines like
 //
-//	BenchmarkMonteCarlo4Workers-8   5   29671787 ns/op   723744 B/op   374 allocs/op
+//	pkg: smartndr/internal/core
+//	BenchmarkOptimize-8   5   29671787 ns/op   3796 sta_visits/op   723744 B/op   374 allocs/op
 //
 // become
 //
-//	{"name":"MonteCarlo4Workers","procs":8,"iterations":5,
-//	 "ns_per_op":29671787,"bytes_per_op":723744,"allocs_per_op":374}
+//	{"name":"Optimize","package":"smartndr/internal/core","procs":8,"iterations":5,
+//	 "ns_per_op":29671787,"bytes_per_op":723744,"allocs_per_op":374,
+//	 "metrics":{"sta_visits/op":3796}}
+//
+// Each benchmark records the package of the most recent "pkg:" line, so
+// one report can span a multi-package `go test` run. Every value/unit
+// pair is kept: the -benchmem units in their own fields, any other unit
+// (b.ReportMetric output, MB/s) under metrics.
 package main
 
 import (
@@ -26,17 +33,18 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name        string  `json:"name"`
-	Procs       int     `json:"procs,omitempty"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Package     string             `json:"package,omitempty"`
+	Procs       int                `json:"procs,omitempty"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"` // every other unit
 }
 
 // Report is the emitted document.
 type Report struct {
-	Package    string   `json:"package,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
@@ -69,12 +77,13 @@ func main() {
 
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -82,12 +91,12 @@ func parse(r io.Reader) (*Report, error) {
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
 		}
-		// Expect: name iters ns "ns/op" [bytes "B/op" allocs "allocs/op"]
+		// Expect: name iters ns "ns/op" [value unit]...
 		f := strings.Fields(line)
 		if len(f) < 4 || f[3] != "ns/op" {
 			continue
 		}
-		res := Result{Name: strings.TrimPrefix(f[0], "Benchmark")}
+		res := Result{Name: strings.TrimPrefix(f[0], "Benchmark"), Package: pkg}
 		if dash := strings.LastIndex(res.Name, "-"); dash > 0 {
 			if p, err := strconv.Atoi(res.Name[dash+1:]); err == nil {
 				res.Procs = p
@@ -102,15 +111,20 @@ func parse(r io.Reader) (*Report, error) {
 			continue
 		}
 		for i := 4; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseInt(f[i], 10, 64)
+			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				continue
 			}
-			switch f[i+1] {
+			switch unit := f[i+1]; unit {
 			case "B/op":
-				res.BytesPerOp = v
+				res.BytesPerOp = int64(v)
 			case "allocs/op":
-				res.AllocsPerOp = v
+				res.AllocsPerOp = int64(v)
+			default:
+				if res.Metrics == nil {
+					res.Metrics = make(map[string]float64)
+				}
+				res.Metrics[unit] = v
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)

@@ -150,8 +150,17 @@ func (f *field) fill(rng *rand.Rand) {
 	}
 }
 
-// at returns the field value at a die location.
-func (f *field) at(p geom.Point) float64 {
+// fieldPos is a die location resolved against a field grid: the index of
+// its cell's lower-left grid value and the offsets within the cell. It
+// depends only on the grid geometry, so one fieldPos serves every field
+// drawn over the same die.
+type fieldPos struct {
+	idx    int32
+	dx, dy float64
+}
+
+// locate resolves a die location to its grid cell.
+func (f *field) locate(p geom.Point) fieldPos {
 	fx := geom.Clamp((p.X-f.bb.MinX)*f.invW, 0, 1) * float64(f.cells)
 	fy := geom.Clamp((p.Y-f.bb.MinY)*f.invH, 0, 1) * float64(f.cells)
 	x0 := int(fx)
@@ -162,13 +171,18 @@ func (f *field) at(p geom.Point) float64 {
 	if y0 >= f.cells {
 		y0 = f.cells - 1
 	}
-	dx := fx - float64(x0)
-	dy := fy - float64(y0)
+	return fieldPos{idx: int32(y0*(f.cells+1) + x0), dx: fx - float64(x0), dy: fy - float64(y0)}
+}
+
+// sample interpolates the field bilinearly at a located position.
+func (f *field) sample(q fieldPos) float64 {
 	n := f.cells + 1
-	v00 := f.vals[y0*n+x0]
-	v01 := f.vals[y0*n+x0+1]
-	v10 := f.vals[(y0+1)*n+x0]
-	v11 := f.vals[(y0+1)*n+x0+1]
+	i := int(q.idx)
+	dx, dy := q.dx, q.dy
+	v00 := f.vals[i]
+	v01 := f.vals[i+1]
+	v10 := f.vals[i+n]
+	v11 := f.vals[i+n+1]
 	return v00*(1-dx)*(1-dy) + v01*dx*(1-dy) + v10*(1-dx)*dy + v11*dx*dy
 }
 
@@ -193,6 +207,45 @@ type trialScratch struct {
 	src    par.Source
 	rng    *rand.Rand
 	an     *sta.Analyzer
+	bound  bool // an has bound the tree; later trials Reanalyze
+}
+
+// nodeCoef holds the trial-invariant sampling inputs of one node, built
+// once per run and shared read-only by every worker, so a trial does no
+// per-node geometry, rule lookup or wire-model arithmetic of its own.
+type nodeCoef struct {
+	edge, buf       fieldPos // feeding-edge midpoint and buffer location
+	w, floor        float64  // drawn wire width (µm) and its -0.8·w error floor
+	wr, wc          float64  // WireR·w (Ω·µm) and nominal WireC (F)
+	edgeLen         float64  // µm
+	hasEdge, hasBuf bool
+}
+
+// nodeCoefs builds the per-node coefficients of t over the field grid g,
+// in node-index order — the order trials draw their random numbers in.
+func nodeCoefs(t *ctree.Tree, te *tech.Tech, g *field) ([]nodeCoef, error) {
+	coef := make([]nodeCoef, len(t.Nodes))
+	for i := range t.Nodes {
+		nd := &t.Nodes[i]
+		c := &coef[i]
+		if nd.Parent != ctree.NoNode {
+			if nd.Rule < 0 || nd.Rule >= te.NumRules() {
+				return nil, fmt.Errorf("variation: node %d has out-of-range rule %d", i, nd.Rule)
+			}
+			w := te.Layer.MinWidth * te.Rules[nd.Rule].WMult
+			c.hasEdge = true
+			c.edge = g.locate(geom.Midpoint(nd.Loc, t.Nodes[nd.Parent].Loc))
+			c.w, c.floor = w, -0.8*w
+			c.wr = te.WireR(nd.EdgeLen, nd.Rule) * w
+			c.wc = te.WireC(nd.EdgeLen, nd.Rule)
+			c.edgeLen = nd.EdgeLen
+		}
+		if nd.BufIdx != ctree.NoBuf {
+			c.hasBuf = true
+			c.buf = g.locate(nd.Loc)
+		}
+	}
+	return coef, nil
 }
 
 // MonteCarloTr is MonteCarlo with instrumentation: each trial records a
@@ -201,6 +254,13 @@ type trialScratch struct {
 // overhead. Trial spans are attached to the run span explicitly — never
 // to the tracer's ambient span stack — so the span tree stays
 // well-formed when trials run on many goroutines.
+//
+// The tree is bound once per worker: its first trial runs a full
+// sta Analyze, later ones only Reanalyze under new overrides, and the
+// per-node sampling coefficients are computed once for the whole run.
+// Trials draw their random numbers in the same order and evaluate the
+// same float expressions either way, so Stats are bit-identical to a
+// per-trial full analysis (pinned by TestMonteCarloGoldenStats).
 func MonteCarloTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr *obs.Tracer) (*Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -217,13 +277,18 @@ func MonteCarloTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr 
 	n := len(t.Nodes)
 	spat := math.Sqrt(p.SpatialFrac)
 	white := math.Sqrt(1 - p.SpatialFrac)
+	cArea := te.Layer.CArea
 	if workers > p.Samples {
 		workers = p.Samples
+	}
+	coef, err := nodeCoefs(t, te, emptyField(p.GridCells, bb))
+	if err != nil {
+		return nil, err
 	}
 	scratch := make([]*trialScratch, workers)
 	samples := make([]Sample, p.Samples)
 	//lint:allow ctxflow deterministic Monte-Carlo batch; cancelling mid-run would violate the seeded-substream reproducibility contract
-	err := par.ForEachWorker(context.Background(), workers, p.Samples, func(w, s int) error {
+	err = par.ForEachWorker(context.Background(), workers, p.Samples, func(w, s int) error {
 		sc := scratch[w]
 		if sc == nil {
 			sc = &trialScratch{
@@ -236,6 +301,12 @@ func MonteCarloTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr 
 				},
 				an: sta.NewAnalyzer(te, lib),
 			}
+			// Entries trials never draw keep these values: zero
+			// parasitics on the root's (absent) edge, unit delay scale
+			// on unbuffered nodes.
+			for i := range sc.ov.BufScale {
+				sc.ov.BufScale[i] = 1
+			}
 			sc.rng = rand.New(&sc.src)
 			scratch[w] = sc
 		}
@@ -245,28 +316,29 @@ func MonteCarloTr(t *ctree.Tree, te *tech.Tech, lib *cell.Library, p Params, tr 
 		rng := sc.rng
 		sc.fw.fill(rng)
 		sc.fb.fill(rng)
-		for i := range t.Nodes {
-			nd := &t.Nodes[i]
-			if nd.Parent == ctree.NoNode {
-				sc.ov.EdgeR[i], sc.ov.EdgeC[i] = 0, 0
-			} else {
-				mid := geom.Midpoint(nd.Loc, t.Nodes[nd.Parent].Loc)
-				delta := p.WidthSigma * (spat*sc.fw.at(mid) + white*rng.NormFloat64())
-				rule := te.Rule(nd.Rule)
-				w := te.Layer.MinWidth * rule.WMult
-				if delta < -0.8*w {
-					delta = -0.8 * w // physical floor: wire cannot vanish
+		for i := range coef {
+			c := &coef[i]
+			if c.hasEdge {
+				delta := p.WidthSigma * (spat*sc.fw.sample(c.edge) + white*rng.NormFloat64())
+				if delta < c.floor {
+					delta = c.floor // physical floor: wire cannot vanish
 				}
-				sc.ov.EdgeR[i] = te.WireR(nd.EdgeLen, nd.Rule) * w / (w + delta)
-				sc.ov.EdgeC[i] = te.WireC(nd.EdgeLen, nd.Rule) + te.Layer.CArea*delta*nd.EdgeLen
+				sc.ov.EdgeR[i] = c.wr / (c.w + delta)
+				sc.ov.EdgeC[i] = c.wc + cArea*delta*c.edgeLen
 			}
-			sc.ov.BufScale[i] = 1
-			if nd.BufIdx != ctree.NoBuf {
-				g := spat*sc.fb.at(nd.Loc) + white*rng.NormFloat64()
+			if c.hasBuf {
+				g := spat*sc.fb.sample(c.buf) + white*rng.NormFloat64()
 				sc.ov.BufScale[i] = math.Max(0.5, 1+p.BufSigma*g)
 			}
 		}
-		res, err := sc.an.Analyze(t, p.InSlew, &sc.ov)
+		var res *sta.Result
+		var err error
+		if sc.bound {
+			res, err = sc.an.Reanalyze(p.InSlew, &sc.ov)
+		} else {
+			res, err = sc.an.Analyze(t, p.InSlew, &sc.ov)
+			sc.bound = err == nil
+		}
 		if err != nil {
 			return err
 		}

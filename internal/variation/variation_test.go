@@ -140,13 +140,13 @@ func TestFieldInterpolation(t *testing.T) {
 	bb := geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	f := newField(rng, 4, bb)
 	// Continuity: nearby points give nearby values.
-	a := f.at(geom.Point{X: 50, Y: 50})
-	b := f.at(geom.Point{X: 50.1, Y: 50.1})
+	a := f.sample(f.locate(geom.Point{X: 50, Y: 50}))
+	b := f.sample(f.locate(geom.Point{X: 50.1, Y: 50.1}))
 	if diff := a - b; diff > 0.5 || diff < -0.5 {
 		t.Errorf("field jumps: %g vs %g", a, b)
 	}
 	// Out-of-range points clamp, not panic.
-	_ = f.at(geom.Point{X: -50, Y: 500})
+	_ = f.sample(f.locate(geom.Point{X: -50, Y: 500}))
 }
 
 func TestSpatialCorrelationMatters(t *testing.T) {
